@@ -16,11 +16,11 @@
 use mtf_bench::args::Args;
 use mtf_bench::harness::{Drain, Harness};
 use mtf_bench::json::Json;
-use mtf_bench::measure::{latency, periods, seizovic_latency};
+use mtf_bench::measure::{capture_edge, latency, periods, seizovic_latency};
 use mtf_bench::report::{DesignEntry, ExperimentReport};
 use mtf_core::design::{ASYNC_SYNC, GRAY_POINTER, MIXED_CLOCK, PER_CELL_SYNC};
 use mtf_core::{FifoParams, MixedTimingDesign};
-use mtf_sim::{Logic, Time};
+use mtf_sim::Time;
 use mtf_timing::{area, AreaReport, Sta, Tech};
 
 const EXT: Time = Time::from_ps(100);
@@ -54,17 +54,8 @@ fn gray_latency(params: FifoParams, t_put: Time, t_get: Time, steps: usize) -> (
         let t0 = edge + EXT;
         h.inject_sync_once(0xA5, t0, edge + t_put + EXT);
         h.sim.trace(valid_get);
-        h.sim.run_until(t0 + t_get * 60).unwrap();
-        let wf = h.sim.waveform(valid_get).unwrap();
-        let mut m = t0.as_ps() / t_get.as_ps();
-        let capture = loop {
-            m += 1;
-            let e = Time::from_ps(m * t_get.as_ps());
-            assert!(e <= t0 + t_get * 59, "gray FIFO never delivered");
-            if wf.value_at(e) == Logic::H {
-                break e;
-            }
-        };
+        let capture = capture_edge(&mut h.sim, valid_get, t_get, t0, t0 + t_get * 59)
+            .expect("gray FIFO never delivered");
         let ns = (capture - t0).as_ps() as f64 / 1000.0;
         lo = lo.min(ns);
         hi = hi.max(ns);

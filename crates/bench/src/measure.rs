@@ -21,11 +21,16 @@
 //! Seizovic baseline, which has no netlist to analyse statically;
 //! [`seizovic_latency`] measures it by simulation at an explicit pipeline
 //! depth.
+//!
+//! The latency and asynchronous-throughput simulations advance in
+//! whole-instant `run_until` steps and return as soon as their answer is
+//! fixed: their horizons are upper bounds, not run lengths (see
+//! [`capture_edge`]).
 
 use mtf_core::baseline::SeizovicFifo;
 use mtf_core::design::MIXED_CLOCK;
 use mtf_core::{FifoParams, InterfaceSpec, MixedTimingDesign};
-use mtf_sim::{ClockGen, Logic, Simulator, Time};
+use mtf_sim::{ClockGen, Edge, Logic, NetId, Simulator, Time};
 use mtf_timing::{Sta, Tech};
 
 use crate::harness::{Drain, Feed, Harness};
@@ -63,6 +68,73 @@ pub struct Periods {
     pub put: Option<Time>,
     /// Minimum get-clock period.
     pub get: Time,
+}
+
+/// Advances `sim` in steps of `step` until `probe` yields a value, never
+/// past `limit`; `None` if `limit` is reached first.
+///
+/// Each step is one `run_until` call, which drains every event at or
+/// before its horizon (same-instant cascades included). A run split at
+/// those boundaries processes the same events in the same order as a
+/// single `run_until(limit)` (pinned by `tests/determinism.rs`), so
+/// stopping early only skips simulation whose outcome is never read.
+fn step_until<T>(
+    sim: &mut Simulator,
+    step: Time,
+    limit: Time,
+    mut probe: impl FnMut(&Simulator) -> Option<T>,
+) -> Option<T> {
+    loop {
+        if let Some(v) = probe(sim) {
+            return Some(v);
+        }
+        if sim.now() >= limit {
+            return None;
+        }
+        sim.run_until((sim.now() + step).min(limit))
+            .expect("simulation runs");
+    }
+}
+
+/// The receiver's capture instant: the first get edge `k·t_get` strictly
+/// after `t0`, and not after `limit`, at which the traced `net` is high.
+///
+/// Steps `sim` edge by edge — `run_until(edge)`, then read the value at
+/// `edge` — so the read is final, and the run stops at the capture edge.
+/// Returns `None` if no edge up to `limit` captures.
+pub fn capture_edge(
+    sim: &mut Simulator,
+    net: NetId,
+    t_get: Time,
+    t0: Time,
+    limit: Time,
+) -> Option<Time> {
+    let mut k = t0.as_ps() / t_get.as_ps();
+    loop {
+        k += 1;
+        let edge = Time::from_ps(k * t_get.as_ps());
+        if edge > limit {
+            return None;
+        }
+        if edge > sim.now() {
+            sim.run_until(edge).expect("simulation runs");
+        }
+        if settled_value(sim, net, edge) == Logic::H {
+            return Some(edge);
+        }
+    }
+}
+
+/// The traced value of `net` at instant `at`. A waveform shows its last
+/// record for any later instant too, so a read past [`Simulator::now`]
+/// could return a value that not-yet-simulated events would change.
+fn settled_value(sim: &Simulator, net: NetId, at: Time) -> Logic {
+    assert!(
+        at <= sim.now(),
+        "waveform read at {at} is beyond simulated time {}",
+        sim.now()
+    );
+    sim.waveform(net).expect("traced").value_at(at)
 }
 
 fn async_put(design: &dyn MixedTimingDesign, params: FifoParams) -> bool {
@@ -139,7 +211,8 @@ pub fn throughput(design: &dyn MixedTimingDesign, params: FifoParams) -> Through
 
 /// Measures an asynchronous put interface's steady-state throughput in
 /// MegaOps/s, with the synchronous get side clocked at its own maximum
-/// frequency so the FIFO never back-pressures.
+/// frequency so the FIFO never back-pressures. The run ends once the
+/// producer has committed every item (40 µs at most).
 fn async_put_mops(design: &dyn MixedTimingDesign, params: FifoParams, get_period: Time) -> f64 {
     let ops: u64 = 300;
     let mut h = Harness::calibrated(2);
@@ -170,7 +243,9 @@ fn async_put_mops(design: &dyn MixedTimingDesign, params: FifoParams, get_period
             );
         }
     }
-    h.sim.run_until(Time::from_us(40)).expect("simulation runs");
+    step_until(&mut h.sim, period, Time::from_us(40), |_| {
+        (journal.len() as u64 == ops).then_some(())
+    });
     assert_eq!(journal.len() as u64, ops, "producer must finish");
     journal.ops_per_second(40).expect("steady state reached") / 1.0e6
 }
@@ -181,6 +256,10 @@ fn async_put_mops(design: &dyn MixedTimingDesign, params: FifoParams, get_period
 /// setup/hold reports, data intact, in order). Returns that factor —
 /// 1.0 means the STA bound is exactly where simulation first succeeds;
 /// values below 1.0 mean STA is conservative by that margin.
+///
+/// Unlike the other measurements this one runs its whole horizon: its
+/// verdict counts setup/hold reports over all of it, so there is no
+/// earlier instant at which the answer is fixed.
 pub fn sim_fmax_factor_mixed_clock(params: FifoParams) -> f64 {
     let p = periods(&MIXED_CLOCK, params);
     let (t_put, t_get) = (p.put.expect("sync put"), p.get);
@@ -346,29 +425,15 @@ fn latency_once(
         h.feed("src", Feed::Packets { packets });
         h.sim.trace(valid_in);
         h.sim.trace(valid_get);
-        h.sim
-            .run_until(warmup + t_get * 120)
-            .expect("simulation runs");
-        let t0 = h
-            .sim
-            .waveform(valid_in)
-            .expect("traced")
-            .edges(mtf_sim::Edge::Rising)
-            .next()
-            .expect("the valid packet was presented");
-        let wf = h.sim.waveform(valid_get).expect("traced");
-        let mut k = t0.as_ps() / t_get.as_ps();
-        let capture = loop {
-            k += 1;
-            let edge = Time::from_ps(k * t_get.as_ps());
-            assert!(
-                edge <= t0 + t_get * 80,
-                "packet was never delivered ({kind:?} {params})"
-            );
-            if wf.value_at(edge) == Logic::H {
-                break edge;
-            }
-        };
+        let t0 = step_until(&mut h.sim, t_get, warmup + t_get * 120, |sim| {
+            sim.waveform(valid_in)
+                .expect("traced")
+                .edges(Edge::Rising)
+                .next()
+        })
+        .expect("the valid packet was presented");
+        let capture = capture_edge(&mut h.sim, valid_get, t_get, t0, t0 + t_get * 80)
+            .unwrap_or_else(|| panic!("packet was never delivered ({kind:?} {params})"));
         return (capture - t0).as_ps() as f64 / 1000.0;
     }
 
@@ -388,22 +453,10 @@ fn latency_once(
 
     let valid_get = ports.valid_get.expect("clocked get");
     h.sim.trace(valid_get);
-    h.sim.run_until(t0 + t_get * 60).expect("simulation runs");
-
     // The receiver "retrieves the data item and can use it" at the first
-    // get-clock edge where valid_get is high. Get edges fall at k·t_get.
-    let wf = h.sim.waveform(valid_get).expect("traced");
-    let mut k = t0.as_ps() / t_get.as_ps(); // first edge at or after t0
-    let capture = loop {
-        k += 1;
-        let edge = Time::from_ps(k * t_get.as_ps());
-        if edge > t0 + t_get * 59 {
-            panic!("item was never delivered ({kind:?} {params})");
-        }
-        if wf.value_at(edge) == Logic::H {
-            break edge;
-        }
-    };
+    // get-clock edge where valid_get is high.
+    let capture = capture_edge(&mut h.sim, valid_get, t_get, t0, t0 + t_get * 59)
+        .unwrap_or_else(|| panic!("item was never delivered ({kind:?} {params})"));
     (capture - t0).as_ps() as f64 / 1000.0
 }
 
@@ -439,9 +492,10 @@ pub fn seizovic_latency(depth: usize, t: Time) -> f64 {
         f.valid_get,
         1,
     );
-    sim.run_until(t0 + t * (4 * depth as u64 + 20))
-        .expect("simulation runs");
-    let capture = cj.time_of(0).expect("item delivered");
+    let capture = step_until(&mut sim, t, t0 + t * (4 * depth as u64 + 20), |_| {
+        cj.time_of(0)
+    })
+    .expect("item delivered");
     (capture - t0).as_ps() as f64 / 1000.0
 }
 
@@ -449,6 +503,41 @@ pub fn seizovic_latency(depth: usize, t: Time) -> f64 {
 mod tests {
     use super::*;
     use mtf_core::design::{ASYNC_SYNC, MIXED_CLOCK};
+
+    /// A net driven high at 25 ns, traced from the start.
+    fn rises_at_25ns() -> (Simulator, NetId) {
+        let mut sim = Simulator::new(0);
+        let n = sim.net("valid");
+        let drv = sim.driver(n);
+        sim.drive_at(drv, n, Logic::L, Time::ZERO);
+        sim.drive_at(drv, n, Logic::H, Time::from_ns(25));
+        sim.trace(n);
+        (sim, n)
+    }
+
+    #[test]
+    fn capture_edge_stops_the_run_at_the_capture() {
+        let (mut sim, n) = rises_at_25ns();
+        let t = Time::from_ns(10);
+        let got = capture_edge(&mut sim, n, t, Time::from_ns(3), Time::from_ns(100));
+        assert_eq!(got, Some(Time::from_ns(30)));
+        assert_eq!(
+            sim.now(),
+            Time::from_ns(30),
+            "no simulation past the answer"
+        );
+        let (mut sim, n) = rises_at_25ns();
+        let got = capture_edge(&mut sim, n, t, Time::from_ns(3), Time::from_ns(29));
+        assert_eq!(got, None, "the limit bounds the scan");
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond simulated time")]
+    fn waveform_reads_past_the_simulated_time_panic() {
+        let (mut sim, n) = rises_at_25ns();
+        sim.run_until(Time::from_ns(20)).expect("simulation runs");
+        settled_value(&sim, n, Time::from_ns(30));
+    }
 
     #[test]
     fn mixed_clock_throughput_shape() {

@@ -131,13 +131,6 @@ impl<'a> Ctx<'a> {
         self.sim.record_violation(v);
     }
 
-    /// Asks the simulator to stop at the end of the current instant.
-    /// [`Simulator::run_until`] returns early; used by test environments
-    /// once they have produced/consumed their quota of data items.
-    pub fn request_stop(&mut self) {
-        self.sim.request_stop();
-    }
-
     /// This component's own id (useful for logging).
     pub fn id(&self) -> ComponentId {
         self.me

@@ -181,7 +181,6 @@ pub struct Simulator {
     rng: StdRng,
     violations: Vec<Violation>,
     waveforms: Vec<Option<Waveform>>,
-    stop_requested: bool,
     /// Guard against zero-delay oscillation: maximum events processed at a
     /// single timestamp before the run aborts with
     /// [`SimError::DeltaOverflow`].
@@ -229,7 +228,6 @@ impl Simulator {
             rng: StdRng::seed_from_u64(seed),
             violations: Vec::new(),
             waveforms: Vec::new(),
-            stop_requested: false,
             max_events_per_instant: 2_000_000,
             events_processed: 0,
             wake_pending: Vec::new(),
@@ -410,11 +408,6 @@ impl Simulator {
         self.violations.clear();
     }
 
-    /// True once a component has called [`Ctx::request_stop`].
-    pub fn stopped(&self) -> bool {
-        self.stop_requested
-    }
-
     /// Total number of events processed since construction.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
@@ -593,21 +586,19 @@ impl Simulator {
 
     // ---- event loop --------------------------------------------------------
 
-    /// Runs until the queue is exhausted, `horizon` is reached, or a
-    /// component requests a stop. On success the simulator's clock is
-    /// `horizon` (or the stop instant).
+    /// Runs every event at or before `horizon`, same-instant cascades
+    /// included. On success the simulator's clock is `horizon`.
+    ///
+    /// Because each call drains whole instants, consecutive calls at
+    /// increasing horizons process the same events in the same order as
+    /// one call to the last horizon; a caller may step a run and stop once
+    /// the outcome it reads is fixed.
     pub fn run_until(&mut self, horizon: Time) -> Result<(), SimError> {
         let mut events_this_instant: u64 = 0;
         let mut instant = self.time;
-        loop {
-            if self.stop_requested {
-                return Ok(());
-            }
-            // Combined peek-and-pop: a single occupancy scan per instant,
-            // and the cursor never advances past `horizon`.
-            let Some(ev) = self.queue.pop_not_after(horizon) else {
-                break;
-            };
+        // Combined peek-and-pop: a single occupancy scan per instant, and
+        // the cursor never advances past `horizon`.
+        while let Some(ev) = self.queue.pop_not_after(horizon) {
             if ev.time > instant {
                 instant = ev.time;
                 events_this_instant = 0;
@@ -641,9 +632,7 @@ impl Simulator {
                 }
             }
         }
-        if !self.stop_requested {
-            self.time = horizon;
-        }
+        self.time = horizon;
         Ok(())
     }
 
@@ -651,11 +640,6 @@ impl Simulator {
     pub fn run_for(&mut self, span: Time) -> Result<(), SimError> {
         let horizon = self.time + span;
         self.run_until(horizon)
-    }
-
-    /// Re-arms a previously requested stop so the simulation can continue.
-    pub fn clear_stop(&mut self) {
-        self.stop_requested = false;
     }
 
     fn apply_drive(&mut self, driver: DriverId, value: Logic, stamp: u64, _seq: u64) {
@@ -781,10 +765,6 @@ impl Simulator {
 
     pub(crate) fn record_violation(&mut self, v: Violation) {
         self.violations.push(v);
-    }
-
-    pub(crate) fn request_stop(&mut self) {
-        self.stop_requested = true;
     }
 
     pub(crate) fn note_compiled_pass(&mut self, gate_evals: u64) {

@@ -7,11 +7,18 @@
 //! the timing wheel pops in exactly `(time, seq)` order, all randomness
 //! flows from the simulator's single seeded RNG, and neither wake
 //! coalescing nor the delta ring may change the order components observe.
+//!
+//! It also pins split invariance: a run advanced through many `run_until`
+//! horizons is the run a single call makes, which is what lets the Table 1
+//! measurements step a simulation and stop once their answer is fixed.
 
+use mtf_async::OpJournal;
 use mtf_core::env::{SyncConsumer, SyncProducer};
 use mtf_core::{FifoParams, MixedClockFifo};
 use mtf_gates::{Builder, CellDelays};
-use mtf_sim::{ClockGen, MetaModel, RaceHazard, RaceHazardKind, Simulator, Time};
+use mtf_sim::{
+    ClockGen, Logic, MetaModel, NetId, RaceHazard, RaceHazardKind, SimStats, Simulator, Time,
+};
 
 /// Everything observable about one run, for whole-value comparison.
 #[derive(Debug, PartialEq, Eq)]
@@ -150,4 +157,117 @@ fn different_seeds_actually_diverge() {
         a, b,
         "fingerprint is insensitive to the seed — the test proves nothing"
     );
+}
+
+const SPLIT_T_PUT: Time = Time::from_ps(9_973);
+const SPLIT_T_GET: Time = Time::from_ps(10_007);
+const SPLIT_GET_PHASE: Time = Time::from_ps(4_321);
+
+/// Everything a split run could perturb: every net's waveform, both
+/// journals, the violation log and the kernel's counters.
+#[derive(Debug, PartialEq)]
+struct SplitRun {
+    waveforms: Vec<Vec<(Time, Logic)>>,
+    produced: Vec<(Time, u64)>,
+    delivered: Vec<(Time, u64)>,
+    violations: Vec<String>,
+    stats: SimStats,
+}
+
+fn entries(j: &OpJournal) -> Vec<(Time, u64)> {
+    j.times().into_iter().zip(j.values()).collect()
+}
+
+/// One gate-level mixed-clock transfer under the `hp06` metastability
+/// model, advanced by one `run_until` call per entry of `horizons`.
+fn split_run(horizons: &[Time]) -> SplitRun {
+    let mut sim = Simulator::new(23);
+    let clk_put = sim.net("clk_put");
+    let clk_get = sim.net("clk_get");
+    ClockGen::spawn_simple(&mut sim, clk_put, SPLIT_T_PUT);
+    ClockGen::builder(SPLIT_T_GET)
+        .phase(SPLIT_GET_PHASE)
+        .spawn(&mut sim, clk_get);
+    let mut b = Builder::with_delays(&mut sim, CellDelays::hp06(), MetaModel::hp06());
+    let f = MixedClockFifo::build(
+        &mut b,
+        FifoParams::with_sync_stages(4, 8, 2),
+        clk_put,
+        clk_get,
+    );
+    drop(b.finish());
+    let items: Vec<u64> = (0..200).collect();
+    let pj = SyncProducer::spawn(
+        &mut sim,
+        "prod",
+        clk_put,
+        f.req_put,
+        &f.data_put,
+        f.full,
+        items.clone(),
+    );
+    let cj = SyncConsumer::spawn(
+        &mut sim,
+        "cons",
+        clk_get,
+        f.req_get,
+        &f.data_get,
+        f.valid_get,
+        items.len() as u64,
+    );
+    for i in 0..sim.net_count() {
+        sim.trace(NetId::from_index(i));
+    }
+    for &h in horizons {
+        sim.run_until(h).expect("simulation runs");
+    }
+    SplitRun {
+        waveforms: (0..sim.net_count())
+            .map(|i| {
+                let wf = sim.waveform(NetId::from_index(i)).expect("traced");
+                wf.points().to_vec()
+            })
+            .collect(),
+        produced: entries(&pj),
+        delivered: entries(&cj),
+        violations: sim.violations().iter().map(|v| v.to_string()).collect(),
+        stats: sim.stats(),
+    }
+}
+
+#[test]
+fn stepping_clock_edge_by_edge_matches_one_run() {
+    // Stop at every put and get edge: each horizon lands on an instant
+    // that holds events (the clock edge and its same-instant cascade), the
+    // split the Table 1 measurements rely on.
+    let horizon = Time::from_us(4);
+    let mut edges: Vec<Time> = (1..)
+        .map(|k| SPLIT_T_PUT * k)
+        .take_while(|&t| t < horizon)
+        .chain(
+            (0..)
+                .map(|k| SPLIT_GET_PHASE + SPLIT_T_GET * k)
+                .take_while(|&t| t < horizon),
+        )
+        .collect();
+    edges.sort();
+    edges.push(horizon);
+    let whole = split_run(&[horizon]);
+    let stepped = split_run(&edges);
+    assert!(
+        !whole.delivered.is_empty(),
+        "the transfer must move data, or the comparison proves little"
+    );
+    assert_eq!(whole.produced, stepped.produced, "producer journals differ");
+    assert_eq!(
+        whole.delivered, stepped.delivered,
+        "consumer journals differ"
+    );
+    assert_eq!(
+        whole.violations, stepped.violations,
+        "violation logs differ"
+    );
+    assert_eq!(whole.stats, stepped.stats, "kernel counters differ");
+    // Not `assert_eq!`: its message would dump every net's trace.
+    assert!(whole.waveforms == stepped.waveforms, "waveforms differ");
 }
