@@ -17,6 +17,18 @@
 //!   here and are re-placed into the near wheel once per occupied granule;
 //! * a sorted **overflow** map for anything beyond the wheel span.
 //!
+//! ## Storage
+//!
+//! Every queued event lives in one node arena (`Arena`): a `Vec` of nodes
+//! recycled through a LIFO free list, so the queue's memory tracks the
+//! peak number of *pending* events rather than the sum of every slot's
+//! historical peak. The delta ring, each wheel slot and each overflow key
+//! is a `{head, tail, len}` FIFO list threaded through the nodes (the
+//! intrusive slot lists of Varghese & Lauck's hierarchical timing wheels).
+//! Draining a near slot into the ring moves its list in O(1), and a coarse
+//! refill re-links nodes into finer slots; no event is copied after its
+//! push.
+//!
 //! ## Ordering invariant
 //!
 //! Pops come out in exactly `(time, seq)` order — identical to the
@@ -126,31 +138,126 @@ pub(crate) struct QueueStats {
     pub overflow_pushes: u64,
 }
 
+/// Arena index meaning "no node": the end of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One queued event, linked to the next node of the list that holds it
+/// (or of the free list). A list's tail keeps a stale `next`: every walk is
+/// bounded by the list's `len`, which saves a store per push.
+#[derive(Clone, Copy)]
+struct Node {
+    ev: Event,
+    next: u32,
+}
+
+/// A FIFO list of arena nodes. Every wheel slot, every overflow key and
+/// the delta ring is one; `head` and `tail` are meaningless when `len` is
+/// zero.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
+/// Storage for every queued event: one node per pending event, recycled
+/// through a LIFO free list, so the arena never holds more nodes than the
+/// queue's peak pending count.
+struct Arena {
+    nodes: Vec<Node>,
+    /// Head of the free list, threaded through `Node::next`.
+    free: u32,
+}
+
+impl Arena {
+    /// Stores `ev` in a recycled node, or a new one, and returns its index.
+    fn alloc(&mut self, ev: Event) -> u32 {
+        if self.free != NIL {
+            let i = self.free;
+            let node = &mut self.nodes[i as usize];
+            self.free = node.next;
+            node.ev = ev;
+            i
+        } else {
+            assert!(
+                self.nodes.len() < NIL as usize,
+                "event arena exceeds u32 indices"
+            );
+            self.nodes.push(Node { ev, next: NIL });
+            (self.nodes.len() - 1) as u32
+        }
+    }
+
+    fn time(&self, i: u32) -> Time {
+        self.nodes[i as usize].ev.time
+    }
+
+    /// Links node `i` behind the tail of `list`.
+    fn append(&mut self, list: &mut List, i: u32) {
+        if list.len == 0 {
+            list.head = i;
+        } else {
+            self.nodes[list.tail as usize].next = i;
+        }
+        list.tail = i;
+        list.len += 1;
+    }
+
+    /// Unlinks the head of a non-empty `list`, returns its node to the
+    /// free list and hands back its event.
+    fn pop_front(&mut self, list: &mut List) -> Event {
+        debug_assert!(list.len > 0);
+        let i = list.head;
+        let node = &mut self.nodes[i as usize];
+        list.head = node.next;
+        list.len -= 1;
+        node.next = self.free;
+        self.free = i;
+        node.ev
+    }
+
+    /// Earliest time in a non-empty coarse slot, whose events are in seq
+    /// (not time) order. Amortized: runs at most once per refill.
+    fn min_time(&self, list: &List) -> Time {
+        let mut i = list.head;
+        let mut min = Time::MAX;
+        for _ in 0..list.len {
+            let node = &self.nodes[i as usize];
+            min = min.min(node.ev.time);
+            i = node.next;
+        }
+        min
+    }
+}
+
 pub(crate) struct EventQueue {
+    /// Node storage for every list below.
+    arena: Arena,
     /// Events at exactly the current instant (`cur`), in seq order: the
-    /// delta ring. Zero-delay scheduling and popping are O(1); the ring is
-    /// a flat `Vec` with a consume cursor (`ready_head`), reset to empty
-    /// once drained, which is cheaper than a `VecDeque`'s wrap arithmetic
-    /// on this all-hot path.
-    ready: Vec<Event>,
-    ready_head: usize,
+    /// delta ring. Zero-delay scheduling and popping are O(1).
+    ready: List,
     /// Near wheel: slot `t & NEAR_MASK` holds exactly timestamp `t` for
     /// `t` in the cursor's 4096 ps block.
-    near: Vec<Vec<Event>>,
+    near: Box<[List; NEAR_SLOTS]>,
     /// Two-level occupancy bitmap over `near`: bit `w` of `near_summary`
     /// says word `near_words[w]` is non-zero.
     near_words: [u64; NEAR_SLOTS / 64],
     near_summary: u64,
-    mid: [Vec<Event>; COARSE_SLOTS],
+    mid: [List; COARSE_SLOTS],
     mid_occ: u64,
-    far: [Vec<Event>; COARSE_SLOTS],
+    far: [List; COARSE_SLOTS],
     far_occ: u64,
     /// Events beyond the wheel span, keyed by exact timestamp (ps). Each
-    /// bucket is in push (= seq) order.
-    overflow: BTreeMap<u64, Vec<Event>>,
-    /// Recycled buffer for coarse-slot refills (avoids an alloc/free pair
-    /// per cascade).
-    scratch: Vec<Event>,
+    /// list is in push (= seq) order.
+    overflow: BTreeMap<u64, List>,
     /// The wheel cursor in ps: the timestamp of the events in `ready`, and
     /// a lower bound on every queued event. Advances only in `pop`.
     cur: u64,
@@ -164,7 +271,7 @@ impl std::fmt::Debug for EventQueue {
         f.debug_struct("EventQueue")
             .field("len", &self.len)
             .field("cur_ps", &self.cur)
-            .field("ready", &(self.ready.len() - self.ready_head))
+            .field("ready", &self.ready.len)
             .field("overflow_keys", &self.overflow.len())
             .finish()
     }
@@ -173,17 +280,19 @@ impl std::fmt::Debug for EventQueue {
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
-            ready: Vec::new(),
-            ready_head: 0,
-            near: (0..NEAR_SLOTS).map(|_| Vec::new()).collect(),
+            arena: Arena {
+                nodes: Vec::new(),
+                free: NIL,
+            },
+            ready: List::EMPTY,
+            near: Box::new([List::EMPTY; NEAR_SLOTS]),
             near_words: [0; NEAR_SLOTS / 64],
             near_summary: 0,
-            mid: std::array::from_fn(|_| Vec::new()),
+            mid: [List::EMPTY; COARSE_SLOTS],
             mid_occ: 0,
-            far: std::array::from_fn(|_| Vec::new()),
+            far: [List::EMPTY; COARSE_SLOTS],
             far_occ: 0,
             overflow: BTreeMap::new(),
-            scratch: Vec::new(),
             cur: 0,
             len: 0,
             next_seq: 0,
@@ -206,21 +315,21 @@ impl EventQueue {
         if self.len > self.stats.peak_depth {
             self.stats.peak_depth = self.len;
         }
-        self.place(Event { time, seq, kind });
+        let i = self.arena.alloc(Event { time, seq, kind });
+        self.place(i, time.as_ps());
         seq
     }
 
-    /// Routes an event into the delta ring, a wheel slot, or overflow,
-    /// relative to the current cursor.
-    fn place(&mut self, ev: Event) {
-        let t = ev.time.as_ps();
+    /// Links node `i`, holding an event at `t` ps, into the delta ring, a
+    /// wheel slot, or overflow, relative to the current cursor.
+    fn place(&mut self, i: u32, t: u64) {
         if t <= self.cur {
             // The simulator never schedules into the past; anything at the
             // current instant joins the delta ring in seq order.
             debug_assert!(t == self.cur, "event scheduled before queue cursor");
             self.stats.delta_pushes += 1;
-            self.ready.push(ev);
-            let depth = self.ready.len() - self.ready_head;
+            self.arena.append(&mut self.ready, i);
+            let depth = self.ready.len as usize;
             if depth > self.stats.peak_delta_depth {
                 self.stats.peak_delta_depth = depth;
             }
@@ -229,20 +338,33 @@ impl EventQueue {
         let diff = t ^ self.cur;
         if diff < 1 << NEAR_BITS {
             let s = (t & NEAR_MASK) as usize;
-            self.near[s].push(ev);
+            self.arena.append(&mut self.near[s], i);
             self.near_words[s >> 6] |= 1u64 << (s & 63);
             self.near_summary |= 1u64 << (s >> 6);
         } else if diff < 1 << FAR_SHIFT {
             let s = ((t >> MID_SHIFT) & COARSE_MASK) as usize;
-            self.mid[s].push(ev);
+            self.arena.append(&mut self.mid[s], i);
             self.mid_occ |= 1u64 << s;
         } else if diff < 1 << SPAN_BITS {
             let s = ((t >> FAR_SHIFT) & COARSE_MASK) as usize;
-            self.far[s].push(ev);
+            self.arena.append(&mut self.far[s], i);
             self.far_occ |= 1u64 << s;
         } else {
             self.stats.overflow_pushes += 1;
-            self.overflow.entry(t).or_default().push(ev);
+            let list = self.overflow.entry(t).or_insert(List::EMPTY);
+            self.arena.append(list, i);
+        }
+    }
+
+    /// Re-places every node of `list`, in order, relative to the current
+    /// cursor.
+    fn place_all(&mut self, list: List) {
+        let mut i = list.head;
+        for _ in 0..list.len {
+            let node = &self.arena.nodes[i as usize];
+            let (next, t) = (node.next, node.ev.time.as_ps());
+            self.place(i, t);
+            i = next;
         }
     }
 
@@ -251,8 +373,8 @@ impl EventQueue {
     /// diagnostics and the reference-model tests.
     #[cfg(test)]
     pub fn peek_time(&self) -> Option<Time> {
-        if let Some(ev) = self.ready.get(self.ready_head) {
-            return Some(ev.time);
+        if self.ready.len > 0 {
+            return Some(self.arena.time(self.ready.head));
         }
         if self.len == 0 {
             return None;
@@ -263,15 +385,13 @@ impl EventQueue {
             let slot = ((w << 6) | b) as u64;
             return Some(Time::from_ps((self.cur & !NEAR_MASK) + slot));
         }
-        // Within a coarse slot, events are in seq (not time) order; scan
-        // for the minimum. Amortized: runs at most once per refill.
         if self.mid_occ != 0 {
             let s = self.mid_occ.trailing_zeros() as usize;
-            return self.mid[s].iter().map(|e| e.time).min();
+            return Some(self.arena.min_time(&self.mid[s]));
         }
         if self.far_occ != 0 {
             let s = self.far_occ.trailing_zeros() as usize;
-            return self.far[s].iter().map(|e| e.time).min();
+            return Some(self.arena.min_time(&self.far[s]));
         }
         self.overflow.keys().next().map(|&ps| Time::from_ps(ps))
     }
@@ -291,17 +411,12 @@ impl EventQueue {
     /// the caller without staging through the delta ring.
     pub fn pop_not_after(&mut self, horizon: Time) -> Option<Event> {
         loop {
-            if let Some(&ev) = self.ready.get(self.ready_head) {
-                if ev.time > horizon {
+            if self.ready.len > 0 {
+                if self.arena.time(self.ready.head) > horizon {
                     return None;
                 }
-                self.ready_head += 1;
-                if self.ready_head == self.ready.len() {
-                    self.ready.clear();
-                    self.ready_head = 0;
-                }
                 self.len -= 1;
-                return Some(ev);
+                return Some(self.arena.pop_front(&mut self.ready));
             }
             if self.len == 0 {
                 return None;
@@ -320,15 +435,17 @@ impl EventQueue {
                 if self.near_words[w] == 0 {
                     self.near_summary &= !(1u64 << w);
                 }
-                let bucket = &mut self.near[s];
-                if bucket.len() == 1 {
+                let mut slot = std::mem::replace(&mut self.near[s], List::EMPTY);
+                if slot.len == 1 {
                     // Lone event at this instant: skip the delta ring.
                     self.len -= 1;
-                    return bucket.pop();
+                    return Some(self.arena.pop_front(&mut slot));
                 }
-                self.stats.delta_pushes += bucket.len() as u64;
-                self.ready.append(bucket);
-                let depth = self.ready.len() - self.ready_head;
+                // The ring is empty here, so the splice is a move.
+                debug_assert_eq!(self.ready.len, 0);
+                self.stats.delta_pushes += u64::from(slot.len);
+                self.ready = slot;
+                let depth = slot.len as usize;
                 if depth > self.stats.peak_delta_depth {
                     self.stats.peak_delta_depth = depth;
                 }
@@ -340,26 +457,26 @@ impl EventQueue {
             // later legal push.
             if self.mid_occ != 0 {
                 let s = self.mid_occ.trailing_zeros() as usize;
-                let min = self.mid[s].iter().map(|e| e.time).min().expect("occupied");
-                if min > horizon {
+                if self.arena.min_time(&self.mid[s]) > horizon {
                     return None;
                 }
                 self.mid_occ &= !(1u64 << s);
                 let granule_mask = (1u64 << FAR_SHIFT) - 1;
                 self.cur = (self.cur & !granule_mask) + ((s as u64) << MID_SHIFT);
-                self.refill(s, true);
+                let slot = std::mem::replace(&mut self.mid[s], List::EMPTY);
+                self.refill(slot);
                 continue;
             }
             if self.far_occ != 0 {
                 let s = self.far_occ.trailing_zeros() as usize;
-                let min = self.far[s].iter().map(|e| e.time).min().expect("occupied");
-                if min > horizon {
+                if self.arena.min_time(&self.far[s]) > horizon {
                     return None;
                 }
                 self.far_occ &= !(1u64 << s);
                 let granule_mask = (1u64 << SPAN_BITS) - 1;
                 self.cur = (self.cur & !granule_mask) + ((s as u64) << FAR_SHIFT);
-                self.refill(s, false);
+                let slot = std::mem::replace(&mut self.far[s], List::EMPTY);
+                self.refill(slot);
                 continue;
             }
             // Wheel empty: enter the overflow's first block and migrate
@@ -377,38 +494,24 @@ impl EventQueue {
             debug_assert!(first >> SPAN_BITS > self.cur >> SPAN_BITS);
             self.cur = first;
             let block = first >> SPAN_BITS;
-            while let Some((&k, _)) = self.overflow.iter().next() {
-                if k >> SPAN_BITS != block {
+            while let Some(entry) = self.overflow.first_entry() {
+                if *entry.key() >> SPAN_BITS != block {
                     break;
                 }
-                let bucket = self.overflow.remove(&k).expect("key just observed");
-                for ev in bucket {
-                    self.place(ev);
-                }
+                let list = entry.remove();
+                self.place_all(list);
             }
             // `ready` now holds the events at `first`.
-            debug_assert!(self.ready.len() > self.ready_head);
+            debug_assert!(self.ready.len > 0);
         }
     }
 
-    /// Re-places one coarse slot's events after the cursor moved to the
-    /// granule start, recycling `scratch` so no allocation happens per
-    /// cascade (the drained slot inherits the previous scratch buffer's
-    /// capacity and vice versa).
-    fn refill(&mut self, slot: usize, from_mid: bool) {
+    /// Re-links one coarse slot's nodes into finer levels after the cursor
+    /// moved to the granule start; no event is copied.
+    fn refill(&mut self, slot: List) {
         self.stats.cascades += 1;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let src = if from_mid {
-            &mut self.mid[slot]
-        } else {
-            &mut self.far[slot]
-        };
-        std::mem::swap(&mut scratch, src);
-        for ev in scratch.drain(..) {
-            debug_assert!(ev.time.as_ps() >= self.cur);
-            self.place(ev);
-        }
-        self.scratch = scratch;
+        debug_assert!(self.arena.min_time(&slot).as_ps() >= self.cur);
+        self.place_all(slot);
     }
 
     pub fn len(&self) -> usize {
@@ -632,6 +735,48 @@ mod tests {
         for seed in 0..50 {
             interleaving_against_reference(seed, 2_000);
         }
+    }
+
+    #[test]
+    fn arena_holds_no_more_nodes_than_peak_pending() {
+        // A burst of 1 000 events into one near, mid or far slot after
+        // another, drained in between. Slot-owned buffers would keep every
+        // burst's storage alive; the arena recycles the same nodes.
+        let mut q = EventQueue::default();
+        let mut now = 0u64;
+        for round in 0..60u64 {
+            let k = round / 3;
+            let delta = match round % 3 {
+                0 => 1 + k * 97,
+                1 => (k + 1) << MID_SHIFT,
+                _ => (k + 1) << FAR_SHIFT,
+            };
+            for j in 0..1_000u64 {
+                // Spread over a few instants so refills fan out.
+                let t = Time::from_ps(now + delta + j % 7);
+                q.push(
+                    t,
+                    EventKind::Wake {
+                        comp: ComponentId(j as u32),
+                    },
+                );
+            }
+            while let Some(e) = q.pop() {
+                now = e.time.as_ps();
+            }
+            assert_eq!(q.len(), 0);
+            assert_eq!(q.stats().peak_depth, 1_000);
+            assert!(
+                q.arena.nodes.len() <= q.stats().peak_depth,
+                "arena holds {} nodes for a peak of {} pending events",
+                q.arena.nodes.len(),
+                q.stats().peak_depth
+            );
+        }
+        assert!(
+            q.stats().cascades > 0,
+            "the coarse levels were not exercised"
+        );
     }
 
     #[test]

@@ -92,9 +92,9 @@ pub struct SimStats {
     /// Events popped and dispatched by [`Simulator::run_until`] — both
     /// net-drive events and component wakes, across all calls.
     pub events_processed: u64,
-    /// Highest number of events pending in the timing wheel (including
-    /// its sorted overflow map) at once. The same-instant delta ring is
-    /// *not* included — its high-water mark is `peak_delta_depth`.
+    /// Highest number of events pending at once, counting every queued
+    /// event: the same-instant delta ring, the timing wheel and its sorted
+    /// overflow map. The ring's own high-water mark is `peak_delta_depth`.
     pub peak_queue_depth: usize,
     /// Wake requests absorbed into an already-queued, not-yet-delivered
     /// wake for the same component at the same instant (each one is a
@@ -587,7 +587,9 @@ impl Simulator {
     // ---- event loop --------------------------------------------------------
 
     /// Runs every event at or before `horizon`, same-instant cascades
-    /// included. On success the simulator's clock is `horizon`.
+    /// included. On success the simulator's clock is `horizon`, or stays
+    /// where it was if `horizon` is earlier than [`now`](Self::now): the
+    /// clock never moves backwards.
     ///
     /// Because each call drains whole instants, consecutive calls at
     /// increasing horizons process the same events in the same order as
@@ -632,7 +634,7 @@ impl Simulator {
                 }
             }
         }
-        self.time = horizon;
+        self.time = self.time.max(horizon);
         Ok(())
     }
 

@@ -177,3 +177,29 @@ fn later_component_schedule_supersedes_earlier() {
         "the superseded H drive must never fire"
     );
 }
+
+/// A horizon earlier than `now()` runs nothing and leaves the clock where
+/// it is, so a later schedule still lands at or after the last event.
+#[test]
+fn earlier_horizon_does_not_rewind_the_clock() {
+    let mut sim = Simulator::new(0);
+    let n = sim.net("n");
+    let d = sim.driver(n);
+    sim.trace(n);
+    sim.drive_at(d, n, Logic::H, Time::from_ns(8));
+    sim.run_until(Time::from_ns(10)).unwrap();
+    sim.run_until(Time::from_ns(5)).unwrap();
+    assert_eq!(sim.now(), Time::from_ns(10));
+    // Clamped to now(): without the fix this lands behind the queue's
+    // cursor, at 6 ns.
+    sim.drive_at(d, n, Logic::L, Time::from_ns(6));
+    sim.run_until(Time::from_ns(20)).unwrap();
+    assert_eq!(sim.now(), Time::from_ns(20));
+    assert_eq!(sim.value(n), Logic::L);
+    let falls: Vec<Time> = sim
+        .waveform(n)
+        .unwrap()
+        .edges(mtf_sim::Edge::Falling)
+        .collect();
+    assert_eq!(falls, vec![Time::from_ns(10)]);
+}

@@ -1,7 +1,8 @@
 //! End-to-end determinism: two identically seeded runs of the same
 //! mixed-clock transfer must agree on *everything observable* — delivered
-//! data, per-net toggle counts, the violation log, and the kernel's event
-//! count.
+//! data, per-net toggle counts, the violation log, and the kernel's
+//! counters. The counters of one seeded run are also pinned to literal
+//! values, so a queue change that alters the schedule fails here.
 //!
 //! This pins the event-kernel contract (see `crates/sim/src/event.rs`):
 //! the timing wheel pops in exactly `(time, seq)` order, all randomness
@@ -26,7 +27,7 @@ struct Fingerprint {
     delivered: Vec<u64>,
     toggles: Vec<(String, u64)>,
     violations: Vec<String>,
-    events: u64,
+    stats: SimStats,
 }
 
 /// One plesiochronous transfer under a deliberately harsh metastability
@@ -94,7 +95,7 @@ fn fingerprint_opts(seed: u64, sanitize: bool) -> (Fingerprint, Vec<RaceHazard>)
         delivered: cj.values(),
         toggles,
         violations,
-        events: sim.stats().events_processed,
+        stats: sim.stats(),
     };
     (fp, sim.race_hazards())
 }
@@ -116,9 +117,29 @@ fn identical_seeds_reproduce_bit_for_bit() {
         "violation logs differ between identical runs"
     );
     assert_eq!(
-        a.events, b.events,
-        "event counts differ between identical runs"
+        a.stats, b.stats,
+        "kernel counters differ between identical runs"
     );
+}
+
+#[test]
+fn kernel_counters_are_pinned() {
+    // Captured from the seed-11 fixture. Every value follows from the
+    // sequence of pushes and pops, so any drift means the kernel now
+    // schedules differently (the golden/table1.json `kernel` block would
+    // move too).
+    let want = SimStats {
+        events_processed: 91_234,
+        delta_pushes: 87_410,
+        peak_delta_depth: 216,
+        peak_queue_depth: 412,
+        coalesced_wakes: 621,
+        wheel_cascades: 1_217,
+        overflow_events: 0,
+        compiled_edge_evals: 0,
+        compiled_gate_evals: 0,
+    };
+    assert_eq!(fingerprint(11).stats, want);
 }
 
 #[test]
